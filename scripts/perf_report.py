@@ -24,8 +24,9 @@ below MIN on any measured scenario.  CPU time is the gated metric because
 the engines are single-process and CI wall clocks are shared-runner
 noise.  ``--min-speedup X`` is the v1 spelling of a wall-clock
 ``fast:reference:X`` gate, kept for compatibility.  The CI
-benchmark-smoke job gates ``fast:reference:1.0`` and ``vector:fast:1.0``
-on the Fig. 1 search -- an optimized engine must never be slower than the
+benchmark-smoke job gates ``fast:reference:1.0``, ``vector:fast:1.0``
+and ``auto:fast:1.0`` (the default engine against the old default) on
+the Fig. 1 search -- an optimized engine must never be slower than the
 engine it supersedes -- and the optional-dependency kernel job gates
 ``kernel:vector:1.0`` the same way.
 

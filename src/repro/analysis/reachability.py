@@ -35,6 +35,7 @@ from repro.analysis.kernelpath import counters_snapshot as _k_counters_snapshot
 from repro.analysis.kernelpath import kernel_available as _kernel_available
 from repro.analysis.kernelpath import kernel_engine_for as _kernel_engine_for
 from repro.analysis.kernelpath import peek_engine as _peek_kernel
+from repro.analysis.kernelpath import resolve_backend as _resolve_backend
 from repro.obs import get as _obs_get
 
 #: every name accepted by ``engine=`` / ``REPRO_SEARCH_ENGINE``
@@ -52,13 +53,14 @@ AUTO_COUNTERS: dict[str, int] = {
 def resolve_engine(engine: str | None, spec: SystemSpec | None = None) -> str:
     """The concrete engine a search request will run on.
 
-    ``None`` defers to ``REPRO_SEARCH_ENGINE`` (default ``fast``).
+    ``None`` defers to ``REPRO_SEARCH_ENGINE`` (default ``auto``).
     ``auto`` picks the kernel engine when an accelerated backend (numba or
     a C compiler) is available, else the vector engine when ``spec`` is
     vectorizable, else the fast engine -- and records the outcome in
-    :data:`AUTO_COUNTERS`.  Unknown names raise :class:`ValueError`.
+    :data:`AUTO_COUNTERS`.  Concrete names pass through unchanged.
+    Unknown names raise :class:`ValueError`.
     """
-    eng = engine or os.environ.get("REPRO_SEARCH_ENGINE", "fast")
+    eng = engine or os.environ.get("REPRO_SEARCH_ENGINE", "auto")
     if eng not in SEARCH_ENGINES:
         raise ValueError(
             f"unknown search engine {eng!r}; use "
@@ -73,6 +75,26 @@ def resolve_engine(engine: str | None, spec: SystemSpec | None = None) -> str:
             eng = "fast"
         AUTO_COUNTERS[f"search.engine.auto.{eng}"] += 1
     return eng
+
+
+def engine_provenance(engine: str | None = None) -> dict[str, str | None]:
+    """The engine and kernel backend searches requested with ``engine`` run on.
+
+    Like :func:`resolve_engine` without a spec, and without counting an
+    auto pick.  When ``auto`` has no accelerated kernel the choice depends
+    on the spec, reported as ``"vector|fast"``.  ``kernel_backend`` is set
+    only when the kernel engine runs on a backend that resolves.
+    """
+    eng = engine or os.environ.get("REPRO_SEARCH_ENGINE", "auto")
+    if eng == "auto":
+        eng = "kernel" if _kernel_available() else "vector|fast"
+    backend = None
+    if eng == "kernel":
+        try:
+            backend = _resolve_backend()
+        except (ValueError, RuntimeError):  # the search itself will say why
+            pass
+    return {"search_engine_resolved": eng, "kernel_backend": backend}
 
 
 class SearchLimitExceeded(RuntimeError):
@@ -206,15 +228,15 @@ def search_deadlock(
         member of an identical pair than a non-reduced search would, so it
         defaults to on only when ``find_witness`` is false.
     engine:
-        ``"fast"`` (default) expands states through the table-driven
+        ``"fast"`` expands states through the table-driven
         :class:`~repro.analysis.fastpath.FastEngine`; ``"vector"``
         expands whole BFS levels at a time as numpy blocks through
         :class:`~repro.analysis.vectorpath.VectorEngine`; ``"kernel"``
         runs the whole search as one compiled fused loop through
         :class:`~repro.analysis.kernelpath.KernelEngine` (numba / C
-        backend when available, interpreted otherwise); ``"auto"`` picks
-        kernel when accelerated, else vector when the spec is
-        vectorizable, else fast (see :func:`resolve_engine`);
+        backend when available, interpreted otherwise); ``"auto"`` (the
+        default) picks kernel when accelerated, else vector when the spec
+        is vectorizable, else fast (see :func:`resolve_engine`);
         ``"reference"`` keeps the original :meth:`SystemSpec.successors`
         implementation as a cross-checking oracle.  All engines produce
         identical verdicts, ``states_explored`` counts and witnesses
@@ -261,18 +283,20 @@ def search_deadlock(
             max_states=max_states,
             find_witness=find_witness,
             symmetry_reduction=symmetry_reduction,
-            engine=engine,
+            engine=resolve_engine(engine, spec),
             jobs=jobs,
             certificates=certificates,
         )
 
-    resolved = engine or os.environ.get("REPRO_SEARCH_ENGINE", "fast")
     before = {
         **_counters_snapshot(),
         **_v_counters_snapshot(),
         **_k_counters_snapshot(),
         **AUTO_COUNTERS,
     }
+    # resolved after the snapshot, so an auto pick shows in the deltas;
+    # the span and the per-engine branches below see the concrete name
+    resolved = resolve_engine(engine, spec)
     # the vector engine's phase timers are cumulative (reset_profile is
     # owned by scripts/profile_hotpaths.py), so meter this search by delta
     veng_before = _peek_vector(spec)
@@ -292,7 +316,7 @@ def search_deadlock(
             max_states=max_states,
             find_witness=find_witness,
             symmetry_reduction=symmetry_reduction,
-            engine=engine,
+            engine=resolved,
             jobs=jobs,
             certificates=certificates,
         )
@@ -384,13 +408,13 @@ def _search_deadlock_impl(
     max_states: int,
     find_witness: bool,
     symmetry_reduction: bool | None,
-    engine: str | None,
+    engine: str,
     jobs: int,
     certificates: str | None,
 ) -> SearchResult:
+    """The search proper; ``engine`` is a concrete (resolved) name."""
     if symmetry_reduction is None:
         symmetry_reduction = not find_witness
-    engine = resolve_engine(engine, spec)
 
     init = spec.initial_state()
     dead = spec.deadlocked_set(init)

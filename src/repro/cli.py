@@ -1006,13 +1006,14 @@ def build_parser() -> argparse.ArgumentParser:
             "--search-jobs", type=int, default=1,
             help="worker processes for frontier-parallel reachability "
             "searches (default 1: serial; parallel pays only on "
-            "multi-core machines and large frontiers)",
+            "multi-core machines and large frontiers, and composes with "
+            "--search-engine fast only)",
         )
         p.add_argument(
             "--search-engine", default=None,
             choices=["fast", "vector", "kernel", "auto", "reference"],
             help="reachability search engine (default: REPRO_SEARCH_ENGINE "
-            "or 'fast'); 'auto' picks kernel/vector/fast by availability; "
+            "or 'auto'); 'auto' picks kernel/vector/fast by availability; "
             "all engines are pinned bit-identical, so this is purely an "
             "execution knob",
         )

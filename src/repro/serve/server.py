@@ -619,6 +619,7 @@ class ReproServer:
 
     async def _h_status(self, req: _Request) -> tuple[int, Any, None]:
         import repro
+        from repro.analysis.reachability import engine_provenance
 
         assert self.batcher is not None
         payload = {
@@ -634,6 +635,7 @@ class ReproServer:
                 "jobs": self.config.jobs,
                 "search_jobs": self.config.search_jobs,
                 "search_engine": self.config.search_engine,
+                **engine_provenance(self.config.search_engine),
             },
             "batcher": self.batcher.stats.to_json(),
             "cache": self._cache_status(),

@@ -8,6 +8,11 @@ oblivious message waits on exactly one channel, the message wait-for graph
 cycle **iff** a deadlock configuration exists: every message on a wait-for
 cycle can never advance (its holder is also on the cycle), and conversely a
 draining or advancing message has no outgoing edge and cannot close a cycle.
+
+Only the simulator's in-flight messages (:attr:`Simulator.in_flight`) are
+examined: a message not yet due or already finished holds nothing and
+waits on nothing, so the per-cycle check costs time in the messages in
+flight, not in the size of the workload.
 """
 
 from __future__ import annotations
@@ -39,12 +44,12 @@ class DeadlockReport:
 def build_wait_for_graph(sim: "Simulator") -> nx.DiGraph:
     """Message wait-for graph of the simulator's current state."""
     g = nx.DiGraph()
-    for m in sim.messages.values():
+    for m in sim.in_flight:
         if m.status is MessageStatus.ACTIVE or (
             m.status is MessageStatus.PENDING and m.blocked_on is not None
         ):
             g.add_node(m.mid)
-    for m in sim.messages.values():
+    for m in sim.in_flight:
         if m.blocked_on is None:
             continue
         owner = sim.channel_owner(m.blocked_on)
@@ -70,8 +75,10 @@ def detect_deadlock(sim: "Simulator") -> DeadlockReport | None:
     adaptive arbitration loser (a free candidate existed this cycle) is
     never hard-blocked.
     """
-    if any(m.blocked_candidates for m in sim.messages.values()):
+    if any(m.blocked_candidates for m in sim.in_flight):
         return _detect_or_deadlock(sim)
+    if not _has_wait_cycle(sim):
+        return None
     g = build_wait_for_graph(sim)
     # restrict to ACTIVE messages for cycle membership
     active = {
@@ -88,10 +95,42 @@ def detect_deadlock(sim: "Simulator") -> DeadlockReport | None:
     return DeadlockReport(cycle=sim.cycle, message_ids=involved)
 
 
+def _has_wait_cycle(sim: "Simulator") -> bool:
+    """Whether the ACTIVE part of the wait-for graph has a cycle.
+
+    Each message waits on at most one channel, so the graph is a partial
+    function and a cycle is found by following it.  This check runs every
+    cycle; the caller builds the networkx graph only when it finds a cycle,
+    so the report names the cycle ``nx.find_cycle`` picks.
+    """
+    active = MessageStatus.ACTIVE
+    waits: dict[int, int] = {}
+    for m in sim.in_flight:
+        if m.status is active and m.blocked_on is not None:
+            owner = sim.channel_owner(m.blocked_on)
+            if (
+                owner is not None
+                and owner != m.mid
+                and sim.messages[owner].status is active
+            ):
+                waits[m.mid] = owner
+    done: set[int] = set()
+    for start in waits:
+        path: set[int] = set()
+        node: int | None = start
+        while node is not None and node not in done:
+            if node in path:
+                return True
+            path.add(node)
+            node = waits.get(node)
+        done |= path
+    return False
+
+
 def _detect_or_deadlock(sim: "Simulator") -> DeadlockReport | None:
     """OR-semantics (adaptive) deadlock: greatest-fixpoint knot detection."""
     waits: dict[int, list[int]] = {}  # mid -> owners of every blocked candidate
-    for m in sim.messages.values():
+    for m in sim.in_flight:
         if m.status is not MessageStatus.ACTIVE:
             continue
         if m.blocked_candidates:

@@ -20,6 +20,13 @@ Model (paper Section 3, Assumptions 1--5):
   in-network progress on chosen cycles -- the "router delay" adversary of
   the paper's Section 6.
 
+Per-cycle cost follows the messages in flight, not the whole workload:
+messages wait in an injection queue ordered by ``(inject_time, insertion
+index)`` until their injection cycle, and leave the in-flight list at the
+end of the cycle they are delivered (or fail) in.  The in-flight list keeps
+insertion order, which fixes request order, arbitration ties and the order
+of trace-hook events.
+
 The engine is deterministic given (specs, policy, stalls); all the
 *nondeterminism* the paper's adversary controls is explored exhaustively by
 :mod:`repro.analysis`, which shares these movement semantics (cross-checked
@@ -44,6 +51,12 @@ from repro.topology.channels import Channel
 from repro.topology.network import Network
 
 TraceHook = Callable[[int, str, dict], None]
+
+PENDING = MessageStatus.PENDING
+ACTIVE = MessageStatus.ACTIVE
+DRAINING = MessageStatus.DRAINING
+DELIVERED = MessageStatus.DELIVERED
+FAILED = MessageStatus.FAILED
 
 
 @dataclass
@@ -177,6 +190,22 @@ class Simulator:
                     "SimConfig.store_and_forward(max_message_length)"
                 )
             self.messages[spec.mid] = MessageState(spec=spec)
+        # insertion index of every message: the order of the in-flight list
+        self._rank: dict[int, int] = {
+            mid: i for i, mid in enumerate(self.messages)
+        }
+        # not yet due, ordered by (inject_time, insertion index)
+        self._waiting: deque[MessageState] = deque(
+            sorted(
+                self.messages.values(),
+                key=lambda m: (m.spec.inject_time, self._rank[m.mid]),
+            )
+        )
+        # due and not finished, in insertion order
+        self._in_flight: list[MessageState] = []
+        self._adaptive = bool(getattr(routing, "is_adaptive", False))
+        # oblivious route() memo: (in-channel cid or None, node, dst) -> channel
+        self._routes: dict[tuple, Channel] = {}
         self._queues: dict[int, _ChannelQueue] = {
             ch.cid: _ChannelQueue(ch) for ch in network.channels
         }
@@ -192,6 +221,31 @@ class Simulator:
 
     def channel_owner(self, channel: Channel) -> int | None:
         return self._queues[channel.cid].owner
+
+    @property
+    def in_flight(self) -> list[MessageState]:
+        """Messages whose injection time has come and that are not yet
+        delivered or failed, in insertion order (do not mutate)."""
+        return self._in_flight
+
+    def _admit_due(self) -> None:
+        """Move messages whose injection time has come into the in-flight list."""
+        waiting = self._waiting
+        if not waiting or waiting[0].spec.inject_time > self.cycle:
+            return
+        live = self._in_flight
+        rank = self._rank
+        last = rank[live[-1].mid] if live else -1
+        ordered = True
+        while waiting and waiting[0].spec.inject_time <= self.cycle:
+            m = waiting.popleft()
+            r = rank[m.mid]
+            if r < last:
+                ordered = False
+            last = r
+            live.append(m)
+        if not ordered:
+            live.sort(key=lambda m: rank[m.mid])
 
     def _emit(self, kind: str, **data: object) -> None:
         if self.trace is not None:
@@ -216,6 +270,7 @@ class Simulator:
         resulting tail releases, then retries messages that were blocked;
         every message still moves at most one hop per cycle.
         """
+        self._admit_due()
         for q in self._queues.values():
             q.reset_cycle()
         self._moved_this_cycle = False
@@ -226,8 +281,8 @@ class Simulator:
             moved_this_round = self._grant_round(acted, first_round=first_round)
             first_round = False
             # releases make freed channels visible to the next round
-            for m in self.messages.values():
-                if m.in_network:
+            for m in self._in_flight:
+                if m.status is ACTIVE or m.status is DRAINING:
                     self._release_tail(m)
             if not moved_this_round:
                 break
@@ -238,15 +293,21 @@ class Simulator:
                 if q.queue:
                     busy[q.channel.cid] = busy.get(q.channel.cid, 0) + 1
 
-        # fairness accounting (Assumption 5: starvation must be visible)
-        for m in self.messages.values():
-            if m.status is MessageStatus.ACTIVE and m.blocked_on is not None:
+        # fairness accounting (Assumption 5: starvation must be visible);
+        # finished messages leave the in-flight list here
+        still: list[MessageState] = []
+        for m in self._in_flight:
+            status = m.status
+            if status is ACTIVE and m.blocked_on is not None:
                 m.wait_cycles += 1
                 m._current_wait += 1
                 if m._current_wait > m.max_consecutive_wait:
                     m.max_consecutive_wait = m._current_wait
             else:
                 m._current_wait = 0
+            if status is not DELIVERED and status is not FAILED:
+                still.append(m)
+        self._in_flight = still
 
         if not self._moved_this_cycle:
             self._idle_cycles += 1
@@ -262,11 +323,26 @@ class Simulator:
         the header requests the first *free* candidate, blocking only when
         every candidate is held by another message (OR semantics).
         """
+        blocked = m.blocked_on
+        if blocked is not None and not self._adaptive:
+            owner = self._queues[blocked.cid].owner
+            if owner is not None and owner != m.mid:
+                # the header has not moved, so its route is unchanged and
+                # still held by another message: it stays blocked on it
+                if not m.blocked_candidates:
+                    m.blocked_candidates = [blocked]
+                return
+        dst = m.spec.dst
         try:
-            if getattr(self.routing, "is_adaptive", False):
-                cands = self.routing.candidates(in_channel, node, m.spec.dst)
+            if self._adaptive:
+                cands = self.routing.candidates(in_channel, node, dst)
             else:
-                cands = [self.routing.route(in_channel, node, m.spec.dst)]
+                # oblivious routing is a function of (channel, node, dst)
+                key = (None if in_channel is INJECT else in_channel.cid, node, dst)
+                ch = self._routes.get(key)
+                if ch is None:
+                    ch = self._routes[key] = self.routing.route(in_channel, node, dst)
+                cands = [ch]
         except RoutingError:
             m.status = MessageStatus.FAILED
             self._emit("routing_failed", mid=m.mid)
@@ -294,20 +370,21 @@ class Simulator:
         drains: list[MessageState] = []
         movers: list[tuple[MessageState, Channel]] = []
 
-        for m in self.messages.values():
+        for m in self._in_flight:
             if m.mid in acted:
                 continue
-            if m.status is MessageStatus.DRAINING:
+            status = m.status
+            if status is DRAINING:
                 if first_round:
                     drains.append(m)
                     acted.add(m.mid)
                 continue
-            if m.status is MessageStatus.PENDING:
-                if m.spec.inject_time > self.cycle or self._stalled(m):
+            if status is PENDING:
+                if self._stalled(m):
                     continue
                 self._request_next(m, INJECT, m.spec.src, requests)
                 continue
-            if m.status is not MessageStatus.ACTIVE:
+            if status is not ACTIVE:
                 continue
             if self._stalled(m):
                 acted.add(m.mid)
@@ -360,9 +437,9 @@ class Simulator:
         # data flits of messages whose header did not move still advance
         # into any space the train has (only possible with buffer_depth > 1).
         if first_round and self.config.buffer_depth > 1:
-            for m in self.messages.values():
+            for m in self._in_flight:
                 if (
-                    m.status is MessageStatus.ACTIVE
+                    m.status is ACTIVE
                     and m.mid not in acted
                     and not self._stalled(m)
                 ):
@@ -475,10 +552,7 @@ class Simulator:
     # run loop
     # ------------------------------------------------------------------
     def _all_done(self) -> bool:
-        return all(
-            m.status in (MessageStatus.DELIVERED, MessageStatus.FAILED)
-            for m in self.messages.values()
-        )
+        return not self._waiting and not self._in_flight
 
     def _quiesced(self) -> bool:
         """No movement for a window, and nothing can ever move again.
@@ -488,12 +562,9 @@ class Simulator:
         """
         if self._idle_cycles < self.config.quiescence_window:
             return False
-        for m in self.messages.values():
-            # self.cycle is the *next* cycle to run, so an injection due at
-            # exactly self.cycle can still move
-            if m.status is MessageStatus.PENDING and m.spec.inject_time >= self.cycle:
-                return False
-        return True
+        # self.cycle is the *next* cycle to run, and every message still
+        # waiting for admission is due at self.cycle or later
+        return not self._waiting
 
     def run(self) -> SimResult:
         """Run to completion, deadlock, or the cycle limit."""
@@ -546,7 +617,7 @@ class Simulator:
                 deadlock = DeadlockReport(
                     cycle=self.cycle,
                     message_ids=tuple(
-                        m.mid for m in self.messages.values() if m.in_network
+                        m.mid for m in self._in_flight if m.in_network
                     ),
                     kind="quiescence",
                 )

@@ -108,7 +108,9 @@ def test_frontier_parallel_matches_serial(label, spec, symmetry, monkeypatch):
         spec, jobs=2, symmetry_reduction=symmetry, chunk_size=16
     )
     assert par == serial
-    jobs = search_deadlock(spec, find_witness=False, symmetry_reduction=symmetry, jobs=2)
+    jobs = search_deadlock(
+        spec, engine="fast", find_witness=False, symmetry_reduction=symmetry, jobs=2
+    )
     assert (jobs.deadlock_reachable, jobs.states_explored) == serial
 
 

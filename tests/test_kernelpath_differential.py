@@ -419,6 +419,46 @@ def test_resolve_engine_auto_without_kernel(monkeypatch):
     )
 
 
+def test_default_engine_is_auto(monkeypatch):
+    """An unset engine resolves exactly as ``auto`` does, fallback included."""
+    spec = BATTERY[0][1]
+    monkeypatch.delenv("REPRO_SEARCH_ENGINE", raising=False)
+    assert resolve_engine(None, spec) == resolve_engine("auto", spec)
+    monkeypatch.setattr(
+        "repro.analysis.reachability._kernel_available", lambda: False
+    )
+    assert resolve_engine(None, spec) == resolve_engine("auto", spec)
+    assert resolve_engine(None, spec) in ("vector", "fast")
+
+
+@requires_cc
+def test_default_engine_search_telemetry_names_the_kernel(monkeypatch):
+    """A default-engine search is labelled with the engine that ran (not
+    the requested ``auto``), carries the kernel's provenance attributes and
+    counts one auto pick."""
+    from repro import obs
+    from repro.obs import Telemetry
+
+    monkeypatch.delenv("REPRO_SEARCH_ENGINE", raising=False)
+    monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
+    spec = BATTERY[0][1]
+    tel = Telemetry()
+    events: list[dict] = []
+    tel.add_sink(events.append)
+    with obs.scope(tel):
+        res = search_deadlock(spec, find_witness=False)
+    (end,) = [
+        e for e in events
+        if e["kind"] == "span_end" and e["name"] == "search.deadlock"
+    ]
+    assert res.states_explored > 0
+    assert end["attrs"]["engine"] == "kernel"
+    assert end["attrs"]["kernel_backend"] == resolve_backend()
+    assert "frontier_depth" in end["attrs"]
+    assert tel.counters["search.engine.auto.kernel"] == 1
+    assert any(n.startswith("kernelpath.phase.") for n in tel.counters)
+
+
 def test_auto_engine_env_and_explicit_agree(monkeypatch):
     spec = BATTERY[1][1]
     explicit = search_deadlock(spec, engine="auto", find_witness=False)

@@ -87,6 +87,32 @@ def test_repeat_query_is_a_fast_cache_hit(client):
     assert status["batcher"]["cache_hits"] >= 1
 
 
+def test_status_reports_the_engine_searches_resolve_to(client, monkeypatch):
+    from repro.analysis.reachability import engine_provenance
+
+    monkeypatch.delenv("REPRO_SEARCH_ENGINE", raising=False)
+    server = client.status().raise_for_status().payload["server"]
+    assert server["search_engine"] is None  # the raw config value
+    expected = engine_provenance(None)
+    assert server["search_engine_resolved"] == expected["search_engine_resolved"]
+    assert server["kernel_backend"] == expected["kernel_backend"]
+    assert server["search_engine_resolved"] in ("kernel", "vector|fast")
+    if server["search_engine_resolved"] == "kernel":
+        assert server["kernel_backend"] in ("numba", "cc")
+    else:
+        assert server["kernel_backend"] is None
+
+
+def test_engine_provenance_of_explicit_engines():
+    from repro.analysis.reachability import engine_provenance
+
+    assert engine_provenance("fast") == {
+        "search_engine_resolved": "fast",
+        "kernel_backend": None,
+    }
+    assert engine_provenance("kernel")["kernel_backend"] in ("numba", "cc", "python")
+
+
 def test_cache_is_tiered_memory_over_sqlite(client):
     client.search("fig1").raise_for_status()
     status = client.status().raise_for_status().payload
